@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.analysis.fortran_lint import PortSafety, region_port_safety
-from repro.fortran.lexer import LineKind, classify_line
 from repro.fortran.metrics import measure
-from repro.fortran.parser import find_parallel_regions
+from repro.fortran.parser import dc_loops, find_parallel_regions
 from repro.fortran.source import Codebase
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -148,9 +147,11 @@ def estimate_cost(
     buckets = {s: CostBucket(safety=s) for s in _BUCKET_ORDER}
     skipped = 0
     call_blocked = 0
+    dc_count = 0
     for f in cb.files:
         try:
             regions = find_parallel_regions(f)
+            dc_count += len(dc_loops(f))
         except ValueError:
             skipped += 1
             continue
@@ -171,16 +172,12 @@ def estimate_cost(
             b.directive_lines += len(region.directive_lines)
             b.sites.append((f.name, region.start + 1))
     met = measure(cb)
-    dc_loops = sum(
-        1 for _f, _i, ln in cb.iter_lines()
-        if classify_line(ln) is LineKind.DO_CONCURRENT
-    )
     return CostReport(
         name=cb.name,
         buckets=buckets,
         total_lines=met.total_lines,
         acc_lines=met.acc_lines,
-        dc_loops=dc_loops,
+        dc_loops=dc_count,
         skipped_regions=skipped,
         census=census,
         summarized_procedures=len(ip.summaries),

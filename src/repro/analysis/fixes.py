@@ -49,8 +49,12 @@ import re
 from dataclasses import dataclass, replace
 
 from repro.analysis.findings import Finding
-from repro.fortran.lexer import LineKind, classify_line
-from repro.fortran.parser import ParallelRegion, find_parallel_regions
+from repro.fortran.parser import (
+    DcLoop,
+    ParallelRegion,
+    enclosing_dc_loop,
+    find_parallel_regions,
+)
 from repro.fortran.source import Codebase, SourceFile
 
 
@@ -106,7 +110,6 @@ _ACCUM_STMT_RE = re.compile(
 )
 _SCALAR_ACCUM_RE = re.compile(r"^\s*(\w+)\s*=\s*(.*)$", re.I)
 _WAIT_QUEUE_RE = re.compile(r"(wait)\s*\(\s*[\w,\s]+\s*\)", re.I)
-_DC_HEADER_RE = re.compile(r"^(\s*)do\s+concurrent\s*\(", re.I)
 
 
 def _edit_for(file: SourceFile, start: int, end: int,
@@ -117,33 +120,6 @@ def _edit_for(file: SourceFile, start: int, end: int,
     else:
         anchor = tuple(file.lines[start : end + 1])
     return TextEdit(file.name, start, end, replacement, anchor)
-
-
-def _split_paren_args(header: str) -> tuple[str, str]:
-    start = header.index("(")
-    depth = 0
-    for i in range(start, len(header)):
-        if header[i] == "(":
-            depth += 1
-        elif header[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return header[start + 1 : i], header[i + 1 :]
-    raise ValueError(f"unbalanced parens in DC header: {header!r}")
-
-
-def _dc_loop_end(lines: list[str], start: int) -> int:
-    """Index of the enddo closing the do/do-concurrent at ``start``."""
-    level = 0
-    for i in range(start, len(lines)):
-        kind = classify_line(lines[i])
-        if kind in (LineKind.DO, LineKind.DO_CONCURRENT):
-            level += 1
-        elif kind is LineKind.ENDDO:
-            level -= 1
-            if level == 0:
-                return i
-    raise ValueError(f"unterminated loop at line {start}")
 
 
 class _FileContext:
@@ -164,18 +140,6 @@ class _FileContext:
             if r.start <= li <= r.end:
                 return r
         return None
-
-    def enclosing_dc_header(self, li: int) -> int | None:
-        """Innermost ``do concurrent`` header whose loop contains ``li``."""
-        best = None
-        for i, line in enumerate(self.file.lines):
-            if i > li:
-                break
-            if classify_line(line) is not LineKind.DO_CONCURRENT:
-                continue
-            if _dc_loop_end(self.file.lines, i) >= li:
-                best = i
-        return best
 
     def loop_directive_above(self, region: ParallelRegion, li: int) -> int:
         """The directive line governing the nest that contains ``li``
@@ -208,24 +172,23 @@ def _demote_region(ctx: _FileContext, region: ParallelRegion) -> tuple[TextEdit,
     )
 
 
-def _demote_dc_loop(ctx: _FileContext, header: int) -> tuple[TextEdit, ...]:
+def _indent(line: str) -> str:
+    return line[: len(line) - len(line.lstrip())]
+
+
+def _demote_dc_loop(ctx: _FileContext, loop: DcLoop) -> tuple[TextEdit, ...]:
     """Rewrite one ``do concurrent`` loop into a sequential ``do`` nest."""
-    line = ctx.file.lines[header]
-    m = _DC_HEADER_RE.match(line)
-    assert m is not None
-    indent = m.group(1)
-    args, _trailing = _split_paren_args(line)
+    lines = ctx.file.lines
+    indent = _indent(lines[loop.header])
     do_lines = []
-    for part in args.split(","):
-        var, _, rng = part.partition("=")
+    for spec in loop.specs:
+        var, _, rng = spec.partition("=")
         lo, _, hi = rng.partition(":")
         do_lines.append(f"{indent}do {var.strip()}={lo.strip()},{hi.strip()}")
-    end = _dc_loop_end(ctx.file.lines, header)
-    end_indent = ctx.file.lines[end][: len(ctx.file.lines[end])
-                                     - len(ctx.file.lines[end].lstrip())]
+    end_indent = _indent(lines[loop.end])
     return (
-        _edit_for(ctx.file, header, header, tuple(do_lines)),
-        _edit_for(ctx.file, end, end,
+        _edit_for(ctx.file, loop.header, loop.header, tuple(do_lines)),
+        _edit_for(ctx.file, loop.end, loop.end,
                   tuple(f"{end_indent}enddo" for _ in do_lines)),
     )
 
@@ -285,12 +248,12 @@ def _build_fix(
             return ("demote the parallel region to sequential do loops "
                     "(loop-carried dependence: do not port)",
                     _demote_region(ctx, region))
-        header = ctx.enclosing_dc_header(li)
-        if header is None:
+        loop = enclosing_dc_loop(ctx.file, li)
+        if loop is None:
             return ("", None)
         return ("rewrite do concurrent as sequential do loops "
                 "(loop-carried dependence: do not port)",
-                _demote_dc_loop(ctx, header))
+                _demote_dc_loop(ctx, loop))
 
     if rule == "DC002":
         var = finding.context
@@ -301,10 +264,10 @@ def _build_fix(
             key = merge.add(ctx, target, f"reduction({op}:{var})")
             return (f"declare the reduction: add reduction({op}:{var})",
                     ("clause", key))
-        header = ctx.enclosing_dc_header(li)
-        if header is None:
+        loop = enclosing_dc_loop(ctx.file, li)
+        if loop is None:
             return ("", None)
-        key = merge.add(ctx, header, f"reduce({op}:{var})")
+        key = merge.add(ctx, loop.header, f"reduce({op}:{var})")
         return (f"declare the reduction: add reduce({op}:{var})",
                 ("clause", key))
 
@@ -316,11 +279,11 @@ def _build_fix(
         if region is not None:
             return ("demote the parallel region to sequential do loops "
                     "(unprotected shared write)", _demote_region(ctx, region))
-        header = ctx.enclosing_dc_header(li)
-        if header is None:
+        loop = enclosing_dc_loop(ctx.file, li)
+        if loop is None:
             return ("", None)
         return ("rewrite do concurrent as sequential do loops "
-                "(unprotected shared write)", _demote_dc_loop(ctx, header))
+                "(unprotected shared write)", _demote_dc_loop(ctx, loop))
 
     if rule == "DC004":
         var = finding.context
@@ -330,10 +293,10 @@ def _build_fix(
             key = merge.add(ctx, target, f"private({var})")
             return (f"privatize the scalar: add private({var})",
                     ("clause", key))
-        header = ctx.enclosing_dc_header(li)
-        if header is None:
+        loop = enclosing_dc_loop(ctx.file, li)
+        if loop is None:
             return ("", None)
-        key = merge.add(ctx, header, f"local({var})")
+        key = merge.add(ctx, loop.header, f"local({var})")
         return (f"privatize the scalar: add local({var})", ("clause", key))
 
     if rule == "DC005":

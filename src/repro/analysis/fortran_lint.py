@@ -39,8 +39,8 @@ from repro.fortran.lexer import LineKind, classify_line
 from repro.fortran.parser import (
     ParallelRegion,
     RegionKind,
+    dc_loops,
     find_parallel_regions,
-    parse_loop_nest,
 )
 from repro.fortran.source import Codebase, SourceFile
 
@@ -51,7 +51,6 @@ _LOCAL_CLAUSE_RE = re.compile(r"\blocal\s*\(\s*([^)]*)\)", re.I)
 _PRIVATE_CLAUSE_RE = re.compile(r"\bprivate\s*\(\s*([^)]*)\)", re.I)
 _ASYNC_RE = re.compile(r"\basync\s*\(\s*(\w+)\s*\)", re.I)
 _WAIT_RE = re.compile(r"^wait\s*(?:\(\s*([\w,\s]+)\s*\))?", re.I)
-_DC_HEADER_RE = re.compile(r"^\s*do\s+concurrent\s*\(", re.I)
 #: Data-directive clauses and the role they give their arrays.
 _DATA_CLAUSE_RE = re.compile(
     r"\b(copyin|copyout|copy|create|delete|present|device|host|self|use_device)"
@@ -138,20 +137,6 @@ def _region_clause_vars(file: SourceFile, region: ParallelRegion, pattern: re.Pa
     return out
 
 
-def _split_paren_args(header: str) -> tuple[str, str]:
-    """Split ``do concurrent (args) trailing`` -> (args, trailing)."""
-    start = header.index("(")
-    depth = 0
-    for i in range(start, len(header)):
-        if header[i] == "(":
-            depth += 1
-        elif header[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return header[start + 1 : i], header[i + 1 :]
-    raise ValueError(f"unbalanced parens in DC header: {header!r}")
-
-
 def _dc_units(file: SourceFile) -> list[LoopUnit]:
     """Free-standing ``do concurrent`` loops as analyzable units.
 
@@ -160,37 +145,18 @@ def _dc_units(file: SourceFile) -> list[LoopUnit]:
     them just the same).
     """
     units: list[LoopUnit] = []
-    lines = file.lines
-    for i, line in enumerate(lines):
-        if classify_line(line) is not LineKind.DO_CONCURRENT:
-            continue
-        args, trailing = _split_paren_args(line)
-        indices = []
-        for part in args.split(","):
-            name = part.split("=")[0].strip().lower()
-            if name:
-                indices.append(name)
+    for loop in dc_loops(file):
         reductions, locals_declared = [], []
-        for m in _REDUCTION_CLAUSE_RE.finditer(trailing):
+        for m in _REDUCTION_CLAUSE_RE.finditer(loop.trailing):
             reductions.extend(_clause_arrays(m.group(1)))
-        for m in _LOCAL_CLAUSE_RE.finditer(trailing):
+        for m in _LOCAL_CLAUSE_RE.finditer(loop.trailing):
             locals_declared.extend(_clause_arrays(m.group(1)))
-        # walk to the matching enddo
-        level, j = 1, i + 1
-        while j < len(lines) and level:
-            k = classify_line(lines[j])
-            if k in (LineKind.DO, LineKind.DO_CONCURRENT):
-                level += 1
-            elif k is LineKind.ENDDO:
-                level -= 1
-            j += 1
-        end = j - 1
         units.append(
             LoopUnit(
                 file=file,
-                header_line=i,
-                indices=indices,
-                statements=_gather_statements(file, i + 1, end - 1),
+                header_line=loop.header,
+                indices=loop.indices,
+                statements=_gather_statements(file, loop.header + 1, loop.end - 1),
                 reductions=reductions,
                 locals_declared=locals_declared,
             )

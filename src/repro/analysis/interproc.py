@@ -50,6 +50,7 @@ from repro.fortran.lexer import LineKind, classify_line, called_name
 from repro.fortran.frontend.resolve import ModuleIndex, RoutineSym, build_index
 from repro.fortran.parser import (
     ParallelRegion,
+    dc_loops,
     declared_entities,
     declared_intent,
     find_parallel_regions,
@@ -731,20 +732,6 @@ def summarize(cb: Codebase, index: ModuleIndex | None = None) -> InterprocResult
 # -- parallel-context discovery ------------------------------------------------
 
 
-def _dc_end(lines: list[str], start: int) -> int:
-    """Index of the enddo closing the ``do concurrent`` at ``start``."""
-    level = 0
-    for i in range(start, len(lines)):
-        kind = classify_line(lines[i])
-        if kind in (LineKind.DO, LineKind.DO_CONCURRENT):
-            level += 1
-        elif kind is LineKind.ENDDO:
-            level -= 1
-            if level == 0:
-                return i
-    return start
-
-
 def parallel_spans(file: SourceFile) -> list[tuple[int, int, str]]:
     """(start, end, label) for every parallel context in ``file``.
 
@@ -759,12 +746,12 @@ def parallel_spans(file: SourceFile) -> list[tuple[int, int, str]]:
              f"the parallel region at line {region.start + 1}")
         )
         covered.update(range(region.start, region.end + 1))
-    for i, line in enumerate(file.lines):
-        if i in covered or classify_line(line) is not LineKind.DO_CONCURRENT:
+    for loop in dc_loops(file):
+        if loop.header in covered:
             continue
-        end = _dc_end(file.lines, i)
-        spans.append((i, end, f"the do concurrent loop at line {i + 1}"))
-        covered.update(range(i, end + 1))
+        spans.append((loop.header, loop.end,
+                      f"the do concurrent loop at line {loop.header + 1}"))
+        covered.update(range(loop.header, loop.end + 1))
     return sorted(spans)
 
 

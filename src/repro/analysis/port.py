@@ -47,10 +47,8 @@ from repro.analysis.fortran_lint import (
 from repro.codes import CodeVersion
 from repro.codes.versions import version_info
 from repro.fortran.codebase import GeneratorBudget, MAS_BUDGET, generate_mas_codebase
-from repro.fortran.directives import DirectiveKind, is_directive_line, parse_directive
-from repro.fortran.lexer import LineKind, classify_line
 from repro.fortran.metrics import directive_census, measure
-from repro.fortran.parser import apply_edits, find_parallel_regions
+from repro.fortran.parser import apply_edits, dc_loops, find_parallel_regions
 from repro.fortran.source import Codebase
 from repro.fortran.transforms import PureDcPass, ReaddDataPass, UnifiedMemPass
 from repro.fortran.transforms.base import convert_nest_to_dc
@@ -60,7 +58,7 @@ from repro.fortran.transforms.dc2x import (
     drop_legacy_paths,
     reduce_clause_of,
 )
-from repro.fortran.transforms.pure_dc import ACCUM_RE, find_dc_loop_end
+from repro.fortran.transforms.pure_dc import atomic_loops
 
 
 class PortTarget(enum.Enum):
@@ -195,25 +193,13 @@ def _scan_dropped_atomics(cb: Codebase) -> list[tuple[str, int]]:
     anything else disappear in a "small code modification" the paper
     applies by hand -- flag those for review.
     """
-    dropped: list[tuple[str, int]] = []
-    for f in cb.files:
-        i = 0
-        while i < len(f.lines):
-            if classify_line(f.lines[i]) is not LineKind.DO_CONCURRENT:
-                i += 1
-                continue
-            end = find_dc_loop_end(f.lines, i)
-            atomics = [
-                k for k in range(i + 1, end)
-                if is_directive_line(f.lines[k])
-                and parse_directive(f.lines[k]).kind is DirectiveKind.ATOMIC
-            ]
-            if atomics and not any(
-                ACCUM_RE.match(f.lines[k + 1]) for k in atomics
-            ):
-                dropped.extend((f.name, k + 1) for k in atomics)
-            i = end + 1
-    return dropped
+    return [
+        (f.name, k + 1)
+        for f in cb.files
+        for a in atomic_loops(f)
+        if not a.flip
+        for k in a.atomics
+    ]
 
 
 def _record(result: PortResult) -> None:
@@ -606,11 +592,7 @@ def _region_kinds(cb: Codebase) -> Counter:
 
 
 def _dc_loop_count(cb: Codebase) -> int:
-    return sum(
-        1
-        for _f, _i, ln in cb.iter_lines()
-        if classify_line(ln) is LineKind.DO_CONCURRENT
-    )
+    return sum(len(dc_loops(f)) for f in cb.files)
 
 
 def verify_port(

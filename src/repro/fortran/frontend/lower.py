@@ -20,7 +20,12 @@ from repro.fortran.directives import is_directive_line, try_parse_directive
 from repro.fortran.frontend.normalize import normalize_tree
 from repro.fortran.frontend.resolve import ModuleIndex, build_index
 from repro.fortran.lexer import LineKind, classify_line
-from repro.fortran.parser import find_kernels_regions, find_parallel_regions
+from repro.fortran.parser import (
+    DcHeaderError,
+    dc_loops,
+    find_kernels_regions,
+    find_parallel_regions,
+)
 from repro.fortran.source import Codebase, SourceFile
 from repro.fortran.tree_io import load_tree
 
@@ -144,38 +149,37 @@ def _neutralize_interface_blocks(file: SourceFile) -> None:
                 in_block = False
 
 
-def _repair_dc_headers(file: SourceFile, diags: list[Finding]) -> None:
-    """Replace DC headers the clause splitter chokes on with a bare ``do``.
+def _is_neutral(line: str) -> bool:
+    """Blank or a plain comment (opaque lines included): nothing any
+    parser reads. Directive lines are *not* neutral."""
+    return classify_line(line) in (LineKind.BLANK, LineKind.COMMENT)
+
+
+def _demote_dc_header(file: SourceFile, i: int, diags: list[Finding]) -> None:
+    """Replace a DC header the index cannot split with a bare ``do``.
 
     A bare ``do`` keeps the do/enddo nesting balanced (unlike commenting
-    the header out), so enclosing walkers stay correct.
+    the header out), so enclosing loops still find their ``enddo``.
     """
-    from repro.analysis.fortran_lint import _split_paren_args
-
-    for i, ln in enumerate(file.lines):
-        if classify_line(ln) is not LineKind.DO_CONCURRENT:
-            continue
-        try:
-            _split_paren_args(ln)
-        except ValueError:
-            orig = ln.rstrip()
-            file.lines[i] = f"do  {OPAQUE_PREFIX}{orig.lstrip()}"
-            diags.append(
-                Finding("FE001", file.name, i + 1,
-                        f"unsupported do concurrent header: "
-                        f"{orig.strip()[:100]}")
-            )
+    orig = file.lines[i].rstrip()
+    file.lines[i] = f"do  {OPAQUE_PREFIX}{orig.lstrip()}"
+    diags.append(
+        Finding("FE001", file.name, i + 1,
+                f"unsupported do concurrent header: {orig.strip()[:100]}")
+    )
 
 
 def _repair_structure(file: SourceFile, diags: list[Finding]) -> bool:
-    """Neutralize lines until the structural region parsers succeed.
+    """Neutralize lines until the structural parsers succeed.
 
     Every parser ValueError names its 0-based culprit line; neutralizing
     it strictly shrinks the problem, so this terminates. Returns False
-    when no culprit can be extracted (caller degrades the whole file).
+    when no culprit can be extracted or the culprit is already neutral
+    (caller degrades the whole file).
     """
     for _ in range(file.line_count + 1):
         try:
+            dc_loops(file)
             find_parallel_regions(file)
             find_kernels_regions(file)
             return True
@@ -186,15 +190,18 @@ def _repair_structure(file: SourceFile, diags: list[Finding]) -> bool:
             culprit = int(m.group(1))
             if not (0 <= culprit < file.line_count):
                 return False
-            if file.lines[culprit].lstrip().startswith("!"):
+            if _is_neutral(file.lines[culprit]):
                 return False  # already neutral and still failing: bail out
-            _neutralize(file, culprit, diags, "unsupported construct")
+            if isinstance(exc, DcHeaderError):
+                _demote_dc_header(file, culprit, diags)
+            else:
+                _neutralize(file, culprit, diags, "unsupported construct")
     return False
 
 
 def _degrade_whole_file(file: SourceFile, diags: list[Finding], why: str) -> None:
     for i, ln in enumerate(file.lines):
-        if not ln.lstrip().startswith("!") and ln.strip():
+        if not _is_neutral(ln):
             file.lines[i] = f"{OPAQUE_PREFIX}{ln.rstrip()}"
     diags.append(
         Finding("FE001", file.name, 1, f"whole file degraded to opaque: {why}")
@@ -210,7 +217,6 @@ def lower_file(
     diags: list[Finding] = []
     _neutralize_unknown_directives(file, diags)
     _neutralize_interface_blocks(file)
-    _repair_dc_headers(file, diags)
     if not _repair_structure(file, diags):
         _degrade_whole_file(file, diags, "structural recovery failed")
     else:

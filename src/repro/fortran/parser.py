@@ -3,6 +3,11 @@
 Works on any code in the canonical MAS-like subset: OpenACC parallel
 regions wrapping do-loop nests, kernels regions, data/routine/wait
 directives with their continuation lines, and subroutine blocks.
+
+Loop structure is decided here and nowhere else: :func:`match_enddo` is
+the one do/enddo matcher, :func:`dc_loops` the one per-file index of
+``do concurrent`` loops (headers split once), and combined
+``parallel loop``/``kernels loop`` constructs share one parser.
 """
 
 from __future__ import annotations
@@ -207,9 +212,29 @@ def _continuations(lines: list[str], idx: int) -> list[int]:
     return out
 
 
+def match_enddo(lines: list[str], start: int) -> int | None:
+    """Index of the ``enddo`` closing the loop opened at ``start``, else None.
+
+    The one do/enddo level matcher: every structural question about where
+    a loop ends is answered here. ``lines[start]`` must open a loop. Every
+    loop form the lexer sees counts toward nesting -- counted ``do``,
+    ``do concurrent``, ``do while``, bare ``do`` -- and ``end do`` closes
+    like ``enddo``; labeled ``do 100`` loops stay invisible (see the lexer).
+    """
+    level = 1
+    for i in range(start + 1, len(lines)):
+        kind = classify_line(lines[i])
+        if kind is LineKind.DO or kind is LineKind.DO_CONCURRENT:
+            level += 1
+        elif kind is LineKind.ENDDO:
+            level -= 1
+            if level == 0:
+                return i
+    return None
+
+
 def parse_loop_nest(lines: list[str], start: int) -> LoopNest | None:
     """Parse a rectangular ``do`` nest beginning at ``start``."""
-    depth = 0
     idx_vars: list[str] = []
     bounds: list[str] = []
     i = start
@@ -219,22 +244,100 @@ def parse_loop_nest(lines: list[str], start: int) -> LoopNest | None:
             break
         idx_vars.append(m.group(1))
         bounds.append(m.group(2).strip())
-        depth += 1
         i += 1
-    if depth == 0:
+    if not idx_vars:
         return None
-    # walk to the matching sequence of enddos
-    level = depth
-    while i < len(lines) and level > 0:
-        kind = classify_line(lines[i])
-        if kind is LineKind.DO or kind is LineKind.DO_CONCURRENT:
-            level += 1
-        elif kind is LineKind.ENDDO:
-            level -= 1
-        i += 1
-    if level != 0:
+    end = match_enddo(lines, start)
+    if end is None:
         raise ValueError(f"unterminated do nest at line {start}")
-    return LoopNest(start=start, end=i - 1, depth=depth, index_vars=idx_vars, bounds=bounds)
+    return LoopNest(
+        start=start, end=end, depth=len(idx_vars), index_vars=idx_vars, bounds=bounds
+    )
+
+
+def split_paren_args(text: str) -> tuple[str, str]:
+    """Split ``head (args) trailing`` at its first balanced parenthesis
+    group into ``(args, trailing)``; ValueError when there is none."""
+    start = text.index("(")
+    depth = 0
+    for i in range(start, len(text)):
+        if text[i] == "(":
+            depth += 1
+        elif text[i] == ")":
+            depth -= 1
+            if depth == 0:
+                return text[start + 1 : i], text[i + 1 :]
+    raise ValueError(f"no balanced parenthesis group in {text!r}")
+
+
+class DcHeaderError(ValueError):
+    """A ``do concurrent`` header without a splittable index list."""
+
+
+@dataclass(frozen=True, slots=True)
+class DcLoop:
+    """One ``do concurrent`` loop: header and closing ``enddo`` lines plus
+    the header split once into its index list and trailing clauses."""
+
+    header: int
+    end: int
+    args: str       # inside the header parentheses: ``i=1:n, j=1:m``
+    trailing: str   # after them: ``reduce(+:s) local(t)``
+
+    @property
+    def specs(self) -> list[str]:
+        """The index specs (``i=1:n``), stripped."""
+        return [p.strip() for p in self.args.split(",") if p.strip()]
+
+    @property
+    def indices(self) -> list[str]:
+        """Index variable names, lowercased."""
+        names = (p.split("=")[0].strip().lower() for p in self.specs)
+        return [n for n in names if n]
+
+
+def dc_loops(file: SourceFile) -> tuple[DcLoop, ...]:
+    """Every ``do concurrent`` loop of ``file``, nested ones included, in
+    header order.
+
+    Raises ValueError naming the culprit line for a header that cannot be
+    split (:class:`DcHeaderError`) or a loop without its ``enddo``; the
+    front end neutralizes both. The index is memoized on the file and
+    recomputed whenever its lines change, so the passes of one lint share
+    a single lexing of each file.
+    """
+    memo = file.dc_memo
+    if memo is not None and memo[0] == file.lines:
+        return memo[1]
+    lines = file.lines
+    out = []
+    for i, line in enumerate(lines):
+        if classify_line(line) is not LineKind.DO_CONCURRENT:
+            continue
+        try:
+            args, trailing = split_paren_args(line)
+        except ValueError:
+            raise DcHeaderError(
+                f"unsupported do concurrent header in {file.name} at {i}"
+            ) from None
+        end = match_enddo(lines, i)
+        if end is None:
+            raise ValueError(f"unterminated do concurrent in {file.name} at {i}")
+        out.append(DcLoop(i, end, args, trailing))
+    loops = tuple(out)
+    file.dc_memo = (list(lines), loops)
+    return loops
+
+
+def enclosing_dc_loop(file: SourceFile, li: int) -> DcLoop | None:
+    """Innermost ``do concurrent`` loop whose span contains line ``li``."""
+    best = None
+    for loop in dc_loops(file):
+        if loop.header > li:
+            break
+        if loop.end >= li:
+            best = loop
+    return best
 
 
 def _classify_region(
@@ -256,28 +359,30 @@ def _classify_region(
     return RegionKind.PLAIN
 
 
-def _combined_region(file: SourceFile, start: int) -> ParallelRegion:
-    """Region for a combined ``parallel loop`` construct at ``start``.
+def _combined_construct(
+    file: SourceFile, start: int, kind: DirectiveKind
+) -> tuple[LoopNest, int]:
+    """The nest a combined ``parallel loop``/``kernels loop`` construct at
+    ``start`` governs, and the construct's last line.
 
-    The region spans the directive (plus continuations) and the loop nest
-    it governs; an explicit ``end parallel [loop]`` directly after the
-    nest is absorbed when present (it is optional in real OpenACC).
-    Raises ValueError when no loop nest follows -- the front end degrades
-    such constructs to opaque lines.
+    The construct spans the directive (plus ``!$acc&`` continuations) and
+    the loop nest it governs; an explicit ``end`` directive of the same
+    kind directly after the nest is absorbed when present (it is optional
+    in real OpenACC). Raises ValueError when no loop nest follows -- the
+    front end degrades such constructs to opaque lines.
     """
     lines = file.lines
     j = start + 1
     while j < len(lines):
-        kind = classify_line(lines[j])
-        if kind is LineKind.DIRECTIVE and (
+        line_kind = classify_line(lines[j])
+        if line_kind is LineKind.DIRECTIVE and (
             parse_directive(lines[j]).kind is DirectiveKind.CONTINUATION
         ):
             j += 1
-            continue
-        if kind in (LineKind.BLANK, LineKind.COMMENT):
+        elif line_kind in (LineKind.BLANK, LineKind.COMMENT):
             j += 1
-            continue
-        break
+        else:
+            break
     nest = parse_loop_nest(lines, j) if j < len(lines) else None
     if nest is None:
         raise ValueError(
@@ -287,18 +392,21 @@ def _combined_region(file: SourceFile, start: int) -> ParallelRegion:
     k = end + 1
     if k < len(lines) and is_directive_line(lines[k]):
         dk = parse_directive(lines[k])
-        if dk.kind is DirectiveKind.PARALLEL_LOOP and dk.is_region_end:
+        if dk.kind is kind and dk.is_region_end:
             end = k
-    directive_lines = [m for m in range(start, end + 1) if is_directive_line(lines[m])]
-    atomic_lines = [
-        m for m in directive_lines
-        if parse_directive(lines[m]).kind is DirectiveKind.ATOMIC
-    ]
-    kind = _classify_region(lines, start, end, directive_lines, atomic_lines)
-    return ParallelRegion(
-        file=file, start=start, end=end, kind=kind, loops=[nest],
-        directive_lines=directive_lines, atomic_lines=atomic_lines,
-    )
+    return nest, end
+
+
+def _block_end(file: SourceFile, start: int, kind: DirectiveKind) -> int:
+    """Line of the ``end`` directive closing the block region at ``start``."""
+    lines = file.lines
+    for j in range(start + 1, len(lines)):
+        if is_directive_line(lines[j]):
+            dj = parse_directive(lines[j])
+            if dj.kind is kind and dj.is_region_end:
+                return j
+    what = kind.name.split("_")[0].lower()  # "parallel" | "kernels"
+    raise ValueError(f"unterminated {what} region in {file.name} at {start}")
 
 
 def find_parallel_regions(file: SourceFile) -> list[ParallelRegion]:
@@ -311,35 +419,17 @@ def find_parallel_regions(file: SourceFile) -> list[ParallelRegion]:
             i += 1
             continue
         d = parse_directive(lines[i])
-        if (
-            d.kind is DirectiveKind.PARALLEL_LOOP
-            and d.is_combined_construct
+        if d.kind is not DirectiveKind.PARALLEL_LOOP or not (
+            d.is_combined_construct or d.is_region_start
         ):
-            region = _combined_region(file, i)
-            regions.append(region)
-            i = region.end + 1
+            i += 1
             continue
-        if d.kind is DirectiveKind.PARALLEL_LOOP and d.is_region_start:
-            start = i
-            j = i + 1
-            end = None
-            while j < len(lines):
-                if is_directive_line(lines[j]):
-                    dj = parse_directive(lines[j])
-                    if dj.kind is DirectiveKind.PARALLEL_LOOP and dj.is_region_end:
-                        end = j
-                        break
-                j += 1
-            if end is None:
-                raise ValueError(f"unterminated parallel region in {file.name} at {start}")
-            directive_lines = [
-                k for k in range(start, end + 1) if is_directive_line(lines[k])
-            ]
-            atomic_lines = [
-                k
-                for k in directive_lines
-                if parse_directive(lines[k]).kind is DirectiveKind.ATOMIC
-            ]
+        start = i
+        if d.is_combined_construct:
+            nest, end = _combined_construct(file, start, DirectiveKind.PARALLEL_LOOP)
+            loops = [nest]
+        else:
+            end = _block_end(file, start, DirectiveKind.PARALLEL_LOOP)
             loops = []
             k = start + 1
             while k < end:
@@ -350,21 +440,23 @@ def find_parallel_regions(file: SourceFile) -> list[ParallelRegion]:
                         k = nest.end + 1
                         continue
                 k += 1
-            kind = _classify_region(lines, start, end, directive_lines, atomic_lines)
-            regions.append(
-                ParallelRegion(
-                    file=file,
-                    start=start,
-                    end=end,
-                    kind=kind,
-                    loops=loops,
-                    directive_lines=directive_lines,
-                    atomic_lines=atomic_lines,
-                )
+        directive_lines = [k for k in range(start, end + 1) if is_directive_line(lines[k])]
+        atomic_lines = [
+            k for k in directive_lines
+            if parse_directive(lines[k]).kind is DirectiveKind.ATOMIC
+        ]
+        regions.append(
+            ParallelRegion(
+                file=file,
+                start=start,
+                end=end,
+                kind=_classify_region(lines, start, end, directive_lines, atomic_lines),
+                loops=loops,
+                directive_lines=directive_lines,
+                atomic_lines=atomic_lines,
             )
-            i = end + 1
-        else:
-            i += 1
+        )
+        i = end + 1
     return regions
 
 
@@ -376,41 +468,13 @@ def find_kernels_regions(file: SourceFile) -> list[KernelsRegion]:
     while i < len(lines):
         if is_directive_line(lines[i]):
             d = parse_directive(lines[i])
-            if d.kind is DirectiveKind.KERNELS and d.is_combined_construct:
-                # combined ``kernels loop``: spans the following do nest,
-                # with an optional adjacent ``end kernels [loop]``
-                j = i + 1
-                while j < len(lines) and classify_line(lines[j]) in (
-                    LineKind.BLANK, LineKind.COMMENT,
-                ):
-                    j += 1
-                nest = parse_loop_nest(lines, j) if j < len(lines) else None
-                if nest is None:
-                    raise ValueError(
-                        f"combined kernels construct without a loop nest in {file.name} at {i}"
-                    )
-                end = nest.end
-                k = end + 1
-                if k < len(lines) and is_directive_line(lines[k]):
-                    dk = parse_directive(lines[k])
-                    if dk.kind is DirectiveKind.KERNELS and dk.is_region_end:
-                        end = k
+            if d.kind is DirectiveKind.KERNELS and not d.is_region_end:
+                if d.is_combined_construct:
+                    _, end = _combined_construct(file, i, DirectiveKind.KERNELS)
+                else:
+                    end = _block_end(file, i, DirectiveKind.KERNELS)
                 out.append(KernelsRegion(file, i, end))
                 i = end
-            elif d.kind is DirectiveKind.KERNELS and not d.is_region_end:
-                j = i + 1
-                while j < len(lines):
-                    if is_directive_line(lines[j]):
-                        dj = parse_directive(lines[j])
-                        if dj.kind is DirectiveKind.KERNELS and dj.is_region_end:
-                            out.append(KernelsRegion(file, i, j))
-                            i = j
-                            break
-                    j += 1
-                else:
-                    raise ValueError(
-                        f"unterminated kernels region in {file.name} at {i}"
-                    )
         i += 1
     return out
 

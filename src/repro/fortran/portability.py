@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 
 from repro.fortran.directives import is_directive_line
+from repro.fortran.parser import dc_loops
 from repro.fortran.source import Codebase
 
 
@@ -68,7 +69,6 @@ COMPILERS: tuple[CompilerProfile, ...] = (
     CompilerProfile("cray ftn", compiles_f202x=False, openacc_offload=True, dc_offload=False),
 )
 
-_DC_RE = re.compile(r"^\s*do\s+concurrent\b", re.I)
 _REDUCE_RE = re.compile(r"\breduce\s*\(", re.I)
 
 
@@ -108,24 +108,14 @@ class PortabilityReport:
 
 def analyze(cb: Codebase) -> PortabilityReport:
     """Scan a codebase for the portability-relevant constructs."""
-    uses_acc = False
-    acc_lines = 0
-    dc_loops = 0
-    uses_reduce = False
-    for _f, _i, line in cb.iter_lines():
-        if is_directive_line(line):
-            uses_acc = True
-            acc_lines += 1
-        elif _DC_RE.match(line):
-            dc_loops += 1
-            if _REDUCE_RE.search(line):
-                uses_reduce = True
+    acc_lines = sum(1 for _f, _i, line in cb.iter_lines() if is_directive_line(line))
+    loops = [loop for f in cb.files for loop in dc_loops(f)]
     return PortabilityReport(
         codebase_name=cb.name,
-        uses_openacc=uses_acc,
-        uses_do_concurrent=dc_loops > 0,
-        uses_dc_reduce=uses_reduce,
-        dc_loop_count=dc_loops,
+        uses_openacc=acc_lines > 0,
+        uses_do_concurrent=bool(loops),
+        uses_dc_reduce=any(_REDUCE_RE.search(loop.trailing) for loop in loops),
+        dc_loop_count=len(loops),
         acc_line_count=acc_lines,
     )
 

@@ -11,6 +11,8 @@ class SourceFile:
 
     name: str
     lines: list[str] = field(default_factory=list)
+    #: Memo of :func:`repro.fortran.parser.dc_loops`: (lines snapshot, loops).
+    dc_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:

@@ -19,12 +19,14 @@ single (GPU) variants serve the setup phase too.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 
 from repro.fortran.directives import DirectiveKind, is_directive_line, parse_directive
 from repro.fortran.inline import InlineRefusedError, inline_call, parse_routine
-from repro.fortran.lexer import LineKind, classify_line
 from repro.fortran.parser import (
+    DcLoop,
     apply_edits,
+    dc_loops,
     find_directive_lines,
     find_kernels_regions,
     find_subroutines,
@@ -32,25 +34,43 @@ from repro.fortran.parser import (
 from repro.fortran.source import Codebase, SourceFile
 from repro.fortran.transforms.base import TransformPass
 
-ACCUM_RE = re.compile(r"^(\s*)(\w+)\((\w+)\)\s*=\s*\2\(\3\)\s*\+\s*(.+)$")
+_ACCUM_RE = re.compile(r"^(\s*)(\w+)\((\w+)\)\s*=\s*\2\(\3\)\s*\+\s*(.+)$")
 _MINVAL_RE = re.compile(r"^(\s*)(\w+)\s*=\s*minval\((\w+)\)\s*$", re.I)
-_DC_RE = re.compile(r"^\s*do\s+concurrent\s*\(([^)]*)\)", re.I)
 #: Routines nvfortran refuses to inline in the MAS port (SIV-E names one).
 MANUAL_INLINE_ROUTINES = ("interp1",)
 
 
-def find_dc_loop_end(lines: list[str], start: int) -> int:
-    """Index of the enddo closing the DC loop at ``start``."""
-    level = 0
-    for i in range(start, len(lines)):
-        kind = classify_line(lines[i])
-        if kind in (LineKind.DO, LineKind.DO_CONCURRENT):
-            level += 1
-        elif kind is LineKind.ENDDO:
-            level -= 1
-            if level == 0:
-                return i
-    raise ValueError(f"unterminated do concurrent at line {start}")
+@dataclass(frozen=True, slots=True)
+class AtomicLoop:
+    """A ``do concurrent`` loop whose body still carries atomics, with
+    PureDc's decision for them."""
+
+    loop: DcLoop
+    atomics: tuple[int, ...]  # lines of the atomic directives in the body
+    #: Accumulation atomics: the loop flips into a reduction (Listing 4 ->
+    #: 5). Otherwise the atomics are dropped by a small code modification.
+    flip: bool
+
+
+def atomic_loops(f: SourceFile) -> list[AtomicLoop]:
+    """Outermost DC loops of ``f`` that carry atomics, and what PureDc
+    does with each (atomics in nested loops belong to the outer one)."""
+    out = []
+    claimed = -1
+    for loop in dc_loops(f):
+        if loop.header <= claimed:
+            continue
+        claimed = loop.end
+        atomics = tuple(
+            k
+            for k in range(loop.header + 1, loop.end)
+            if is_directive_line(f.lines[k])
+            and parse_directive(f.lines[k]).kind is DirectiveKind.ATOMIC
+        )
+        if atomics:
+            flip = any(_ACCUM_RE.match(f.lines[k + 1]) for k in atomics)
+            out.append(AtomicLoop(loop, atomics, flip))
+    return out
 
 
 class PureDcPass(TransformPass):
@@ -65,19 +85,17 @@ class PureDcPass(TransformPass):
 
     # -- atomic rewrites -------------------------------------------------------
 
-    def _flip_array_reduction(self, f: SourceFile, start: int, end: int) -> list[str]:
+    def _flip_array_reduction(self, f: SourceFile, loop: DcLoop) -> list[str]:
         """Listing 4 -> Listing 5 rewrite of one DC loop with atomics."""
-        m = _DC_RE.match(f.lines[start])
-        assert m is not None
-        indices = [p.strip() for p in m.group(1).split(",")]
+        indices = loop.specs
         # outer index = the one the accumulation target is indexed by
         pairs = []  # (target, rhs)
-        for i in range(start + 1, end):
-            am = ACCUM_RE.match(f.lines[i])
+        for i in range(loop.header + 1, loop.end):
+            am = _ACCUM_RE.match(f.lines[i])
             if am:
                 pairs.append((f"{am.group(2)}({am.group(3)})", am.group(4), am.group(3)))
         if not pairs:
-            raise ValueError(f"no accumulation statements in DC loop at {start}")
+            raise ValueError(f"no accumulation statements in DC loop at {loop.header}")
         outer_var = pairs[0][2]
         outer = next(p for p in indices if p.startswith(f"{outer_var}="))
         inners = [p for p in indices if not p.startswith(f"{outer_var}=")]
@@ -98,34 +116,17 @@ class PureDcPass(TransformPass):
 
     def _rewrite_atomic_loops(self, f: SourceFile) -> None:
         edits = []
-        i = 0
-        while i < len(f.lines):
-            if classify_line(f.lines[i]) is not LineKind.DO_CONCURRENT:
-                i += 1
-                continue
-            end = find_dc_loop_end(f.lines, i)
-            atomics = [
-                k
-                for k in range(i + 1, end)
-                if is_directive_line(f.lines[k])
-                and parse_directive(f.lines[k]).kind is DirectiveKind.ATOMIC
-            ]
-            if atomics:
-                is_accum = any(
-                    ACCUM_RE.match(f.lines[k + 1]) for k in atomics
-                )
-                if is_accum:
-                    edits.append((i, end, self._flip_array_reduction(f, i, end)))
-                else:
-                    # small code modification: drop the atomics, keep the
-                    # statements (rewritten to be race-free in MAS)
-                    body = [
-                        f.lines[k]
-                        for k in range(i, end + 1)
-                        if k not in atomics
-                    ]
-                    edits.append((i, end, body))
-            i = end + 1
+        for a in atomic_loops(f):
+            start, end = a.loop.header, a.loop.end
+            if a.flip:
+                edits.append((start, end, self._flip_array_reduction(f, a.loop)))
+            else:
+                # small code modification: drop the atomics, keep the
+                # statements (rewritten to be race-free in MAS)
+                body = [
+                    f.lines[k] for k in range(start, end + 1) if k not in a.atomics
+                ]
+                edits.append((start, end, body))
         apply_edits(f, edits)
 
     # -- kernels expansion ----------------------------------------------------------

@@ -1,5 +1,7 @@
 """Real-Fortran front end: normalization, lowering, symbol resolution."""
 
+from repro.analysis.fortran_lint import analyze_codebase
+from repro.analysis.interproc import parallel_spans
 from repro.fortran.frontend import (
     build_index,
     load_external_tree,
@@ -9,6 +11,7 @@ from repro.fortran.frontend import (
 )
 from repro.fortran.frontend.lower import OPAQUE_PREFIX
 from repro.fortran.frontend.normalize import FILLER_PREFIX
+from repro.fortran.parser import dc_loops, find_kernels_regions, find_parallel_regions
 from repro.fortran.source import Codebase, SourceFile
 
 
@@ -227,6 +230,90 @@ class TestLower:
             "end subroutine s",
         )
         assert any(d.rule_id == "FE001" for d in res.diagnostics)
+
+    def test_unterminated_parallel_lints_without_raising(self):
+        res = _lower(
+            "subroutine scale(a, n)",
+            "  integer :: i, n",
+            "  real(8) :: a(n)",
+            "  ! double every element on the device",
+            "",
+            "  !$acc parallel default(present)",
+            "  !$acc loop",
+            "  do i = 1, n",
+            "    a(i) = 2.0 * a(i)",
+            "  enddo",
+            "  ! the closing end parallel is missing",
+            "end subroutine scale",
+        )
+        assert [(d.rule_id, d.line) for d in res.diagnostics] == [("FE001", 6)]
+        assert res.codebase.files[0].lines[5].startswith(OPAQUE_PREFIX)
+        assert res.census.opaque_lines == 1
+        assert analyze_codebase(res.codebase) == []
+
+    @staticmethod
+    def _continued_combined(construct):
+        return _lower(
+            "subroutine shift(a, b, n)",
+            "  integer :: i, n",
+            "  real(8) :: a(n), b(n)",
+            "  ! one combined construct, its clauses continued",
+            "",
+            f"  !$acc {construct} gang &",
+            "  !$acc& vector",
+            "  do i = 1, n",
+            "    a(i) = b(i) + 1.0",
+            "  enddo",
+            "",
+            "end subroutine shift",
+        )
+
+    def test_continued_kernels_loop_matches_parallel_loop_twin(self):
+        kernels = self._continued_combined("kernels loop")
+        parallel = self._continued_combined("parallel loop")
+        [region] = find_kernels_regions(kernels.codebase.files[0])
+        [twin] = find_parallel_regions(parallel.codebase.files[0])
+        assert (region.start, region.end) == (twin.start, twin.end) == (5, 9)
+        assert kernels.census.coverage == parallel.census.coverage == 1.0
+        assert kernels.diagnostics == parallel.diagnostics == []
+        assert analyze_codebase(kernels.codebase) == analyze_codebase(
+            parallel.codebase
+        )
+
+    def test_unterminated_do_concurrent_neutralized(self):
+        res = _lower(
+            "subroutine zero(a, s, n)",
+            "  integer :: i, n",
+            "  real(8) :: a(n), s",
+            "  s = 0.0",
+            "  do concurrent (i = 1:n)",
+            "    a(i) = 0.0",
+            "    s = s + a(i)",
+            "  s = 2.0 * s",
+            "end subroutine zero",
+        )
+        assert [(d.rule_id, d.line) for d in res.diagnostics] == [("FE001", 5)]
+        file = res.codebase.files[0]
+        assert file.lines[4].startswith(OPAQUE_PREFIX)
+        # every pass now sees the same thing: no loop, no span, no finding
+        assert dc_loops(file) == ()
+        assert parallel_spans(file) == []
+        assert analyze_codebase(res.codebase) == []
+
+    def test_unsplittable_dc_header_becomes_bare_do(self):
+        res = _lower(
+            "subroutine s(a, n)",
+            "  integer :: i, n",
+            "  real(8) :: a(n)",
+            "  do concurrent (i = 1:n",
+            "    a(i) = 0.0",
+            "  enddo",
+            "end subroutine s",
+        )
+        [diag] = res.diagnostics
+        assert (diag.rule_id, diag.line) == ("FE001", 4)
+        assert "unsupported do concurrent header" in diag.message
+        assert res.codebase.files[0].lines[3].startswith(f"do  {OPAQUE_PREFIX}")
 
     def test_restore_opaque_roundtrip(self):
         original = "    call mystery_routine(a, b)"

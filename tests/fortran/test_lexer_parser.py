@@ -4,13 +4,18 @@ import pytest
 
 from repro.fortran.lexer import LineKind, called_name, classify_line, subroutine_name
 from repro.fortran.parser import (
+    DcHeaderError,
     RegionKind,
     apply_edits,
+    dc_loops,
+    enclosing_dc_loop,
     find_directive_lines,
     find_kernels_regions,
     find_parallel_regions,
     find_subroutines,
+    match_enddo,
     parse_loop_nest,
+    split_paren_args,
 )
 from repro.fortran.directives import DirectiveKind
 from repro.fortran.source import Codebase, SourceFile
@@ -77,6 +82,89 @@ class TestLoopNest:
     def test_unterminated(self):
         with pytest.raises(ValueError, match="unterminated"):
             parse_loop_nest(["      do i=1,n", "        x = 1"], 0)
+
+
+MIXED_NEST = [
+    "do concurrent (k=1:n3)",   # 0
+    "  do j=1,n2",              # 1
+    "    do while (err > tol)", # 2
+    "      do",                 # 3
+    "        exit",             # 4
+    "      end do",             # 5
+    "    enddo",                # 6
+    "  end do",                 # 7
+    "enddo",                    # 8
+]
+
+
+class TestMatchEnddo:
+    @pytest.mark.parametrize("start,end", [(0, 8), (1, 7), (2, 6), (3, 5)])
+    def test_every_loop_form_nests(self, start, end):
+        assert match_enddo(MIXED_NEST, start) == end
+
+    def test_labeled_do_is_invisible(self):
+        lines = [
+            "do i=1,n",
+            "  do 100 j=1,m",
+            "    x(j) = x(j) + 1",
+            "100 continue",
+            "enddo",
+        ]
+        assert classify_line(lines[1]) is LineKind.STATEMENT
+        assert match_enddo(lines, 0) == 4
+
+    def test_unterminated_is_none(self):
+        assert match_enddo(["do i=1,n", "  x = 1"], 0) is None
+        assert match_enddo(MIXED_NEST[:-1], 0) is None
+        assert match_enddo(MIXED_NEST[:-1], 1) == 7
+
+
+class TestDcLoops:
+    LINES = [
+        "do concurrent (i=1:n, J=1:m) reduce(+:s) local(t)",
+        "  do concurrent (k=1:m)",
+        "    s = s + a(i,j)*b(k)",
+        "  enddo",
+        "enddo",
+        "x = 1",
+    ]
+
+    def test_header_split_once(self):
+        outer, inner = dc_loops(SourceFile("t.f90", list(self.LINES)))
+        assert (outer.header, outer.end, inner.header, inner.end) == (0, 4, 1, 3)
+        assert outer.specs == ["i=1:n", "J=1:m"]
+        assert outer.indices == ["i", "j"]
+        assert outer.trailing.strip() == "reduce(+:s) local(t)"
+        assert inner.indices == ["k"]
+
+    def test_enclosing_loop_is_innermost(self):
+        f = SourceFile("t.f90", list(self.LINES))
+        assert enclosing_dc_loop(f, 2).header == 1
+        assert enclosing_dc_loop(f, 4).header == 0
+        assert enclosing_dc_loop(f, 5) is None
+
+    def test_index_follows_edits(self):
+        f = SourceFile("t.f90", list(self.LINES))
+        assert len(dc_loops(f)) == 2
+        f.lines[1] = "  do k=1,m"
+        assert [loop.header for loop in dc_loops(f)] == [0]
+
+    def test_unterminated_names_the_header(self):
+        f = SourceFile("t.f90", ["x = 0", "do concurrent (i=1:n)", "  x = 1"])
+        with pytest.raises(ValueError, match="unterminated do concurrent in t.f90 at 1$"):
+            dc_loops(f)
+
+    def test_unsplittable_header(self):
+        f = SourceFile("t.f90", ["do concurrent (i=1:n", "enddo"])
+        with pytest.raises(DcHeaderError, match="at 0$"):
+            dc_loops(f)
+
+    def test_split_paren_args(self):
+        assert split_paren_args("do concurrent (i=1:f(n)) local(t)") == (
+            "i=1:f(n)", " local(t)"
+        )
+        with pytest.raises(ValueError):
+            split_paren_args("do concurrent (i=1:n")
 
 
 class TestRegions:
