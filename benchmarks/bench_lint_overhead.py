@@ -12,13 +12,21 @@ pass of ``repro.analysis.interproc`` cold, warm (content-hash cache),
 and incrementally after a one-routine edit, plus the re-lint speedup
 the warm cache buys ``analyze_codebase``.
 
-Both merge their results into ``BENCH_lint.json`` at the repo root.
+``test_host_lint_code6`` times five cold lints of the generated Code 6
+tree (fresh copy, summary cache cleared, as a new ``repro lint`` process
+would be) and records their median and IQR, the ``classify_line`` calls
+per source line, and the host fingerprint the times were taken on.
+
+All three merge their results into ``BENCH_lint.json`` at the repo root.
 Run with ``pytest benchmarks/bench_lint_overhead.py -s``.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
+import statistics
 import time
 from pathlib import Path
 
@@ -34,6 +42,7 @@ ARTIFACT = REPO_ROOT / "BENCH_lint.json"
 STEPS = 3
 SHAPE = (8, 6, 8)
 RANKS = 2
+COLD_LINTS = 5
 
 
 def _merge_artifact(update: dict) -> None:
@@ -194,3 +203,70 @@ def test_interproc_summary_cache(benchmark):
             ]
         ),
     )
+
+
+def _host_fingerprint() -> dict:
+    """CPU count, interpreter, numpy/BLAS build and BLAS thread variables."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "thread_env": {
+            k: v for k, v in sorted(os.environ.items())
+            if k.startswith(("OPENBLAS_", "OMP_"))
+        },
+    }
+
+
+def test_host_lint_code6(benchmark):
+    from repro.analysis.fortran_lint import analyze_codebase
+    from repro.analysis.interproc import clear_summary_cache
+    from repro.analysis.lexcount import LIMIT, cold_lint_calls_per_line
+    from repro.fortran.codebase import generate_mas_codebase
+    from repro.fortran.pipeline import build_version
+
+    cb = build_version(CodeVersion.D2XAD, code1=generate_mas_codebase())
+
+    def cold_lint() -> float:
+        work = cb.copy()
+        clear_summary_cache()
+        t0 = time.perf_counter()
+        analyze_codebase(work, jobs=1)
+        return time.perf_counter() - t0
+
+    cold_lint()  # warm imports and regex caches before timing
+    times = benchmark.pedantic(
+        lambda: [cold_lint() for _ in range(COLD_LINTS)], rounds=1, iterations=1
+    )
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    per_line = cold_lint_calls_per_line(cb)
+    result = {
+        "host_lint_code6": {
+            "lines": cb.total_lines,
+            "cold_lints": COLD_LINTS,
+            "host_cold_lint_median_seconds": median,
+            "host_cold_lint_iqr_seconds": q3 - q1,
+            "classify_line_calls_per_line": per_line,
+            "env": _host_fingerprint(),
+        }
+    }
+    _merge_artifact(result)
+
+    print_block(
+        "HOST COLD LINT -- generated Code 6",
+        "\n".join(
+            [
+                f"cold lint         {median * 1e3:8.1f} ms median, "
+                f"IQR {(q3 - q1) * 1e3:.1f} ms ({COLD_LINTS} runs, "
+                f"{cb.total_lines} lines)",
+                f"classify_line     {per_line:8.3f} calls/line",
+                f"wrote {ARTIFACT}",
+            ]
+        ),
+    )
+
+    assert per_line <= LIMIT

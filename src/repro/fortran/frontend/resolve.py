@@ -12,10 +12,11 @@ declare, they do not define.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.fortran.directives import DirectiveKind, try_parse_directive
-from repro.fortran.lexer import LineKind, classify_line
+from repro.fortran.lexer import LineKind, line_kinds
 from repro.fortran.parser import parse_procedure_header
 from repro.fortran.source import Codebase
 
@@ -85,10 +86,12 @@ class ModuleIndex:
         return self.routines.get(key)
 
 
-def _routine_block_has_acc(lines: list[str], start: int) -> bool:
+def _routine_block_has_acc(
+    lines: list[str], kinds: Sequence[LineKind], start: int
+) -> bool:
     """True if an ``!$acc routine`` sits in the routine's declaration part."""
     for i in range(start + 1, len(lines)):
-        kind = classify_line(lines[i])
+        kind = kinds[i]
         if kind is LineKind.DIRECTIVE:
             d = try_parse_directive(lines[i])
             if d is not None and d.kind is DirectiveKind.ROUTINE:
@@ -128,16 +131,19 @@ def build_index(cb: Codebase) -> ModuleIndex:
         current_module = ""
         in_interface = False
         open_routines: list[RoutineSym] = []  # contains-nesting stack
+        kinds = line_kinds(file)
         for i, line in enumerate(file.lines):
-            if _INTERFACE_RE.match(line):
-                in_interface = True
-                continue
-            if _END_INTERFACE_RE.match(line):
-                in_interface = False
-                continue
+            kind = kinds[i]
+            # interface delimiters and use statements lex as statements
+            if kind is LineKind.STATEMENT:
+                if _INTERFACE_RE.match(line):
+                    in_interface = True
+                    continue
+                if _END_INTERFACE_RE.match(line):
+                    in_interface = False
+                    continue
             if in_interface:
                 continue
-            kind = classify_line(line)
             if kind is LineKind.MODULE_START:
                 m = re.match(r"^\s*module\s+(\w+)", line, re.I)
                 if m and m.group(1).lower() != "procedure":
@@ -155,7 +161,7 @@ def build_index(cb: Codebase) -> ModuleIndex:
                     file=file.name,
                     line=i,
                     module=current_module,
-                    acc_routine=_routine_block_has_acc(file.lines, i),
+                    acc_routine=_routine_block_has_acc(file.lines, kinds, i),
                     parent=open_routines[-1].name if open_routines else "",
                     declared_pure=header.declared_pure,
                     dummies=header.dummies,
@@ -173,7 +179,7 @@ def build_index(cb: Codebase) -> ModuleIndex:
                         dummies=sym.dummies, result=sym.result,
                     )
                     index.routines.setdefault(sym.name, closed)
-            else:
+            elif kind is LineKind.STATEMENT:
                 edge = _parse_use(line)
                 if edge is not None:
                     index.uses.setdefault(file.name, []).append(edge.module)

@@ -1,11 +1,21 @@
-"""Line-level classification of the Fortran subset the transforms touch."""
+"""Line-level classification of the Fortran subset the transforms touch.
+
+Each file is classified once: :func:`line_kinds` memoizes the kinds of a
+:class:`~repro.fortran.source.SourceFile` against a snapshot of its lines,
+and every pass reads that tuple instead of re-lexing.
+"""
 
 from __future__ import annotations
 
 import enum
 import re
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.fortran.directives import is_directive_line
+
+if TYPE_CHECKING:
+    from repro.fortran.source import SourceFile
 
 
 class LineKind(enum.Enum):
@@ -55,14 +65,42 @@ _CONTAINS = re.compile(r"^\s*contains\s*$", re.I)
 _CALL = re.compile(r"^\s*call\s+(\w+)", re.I)
 
 
+#: Every leading word (``[A-Za-z]*`` run, lowercased) a line matching one
+#: of the regexes above can start with. The compounds are the spellings the
+#: optional whitespace admits: ``dowhile``, ``enddo`` and a type word glued
+#: to ``function`` (``realfunction f``).
+_TYPE_WORDS = ("real", "integer", "logical", "complex", "character", "type")
+_KEYWORDS = frozenset({
+    "do", "dowhile", "end", "enddo", "subroutine", "function", "module",
+    "contains", "call", "pure", "impure", "elemental", "recursive", "double",
+    *_TYPE_WORDS, *(f"{w}function" for w in _TYPE_WORDS),
+})
+_LEADING_WORD = re.compile(r"[A-Za-z]*")
+
+
 def classify_line(line: str) -> LineKind:
-    """Classify one line of the Fortran subset."""
-    if not line.strip():
+    """Classify one line of the Fortran subset.
+
+    A first-keyword gate answers most lines without the regex chain: an
+    ASCII line whose leading word is none of :data:`_KEYWORDS` matches no
+    regex, so it is a plain statement. Non-ASCII lines always take the
+    chain, because ``re.I`` folds ``ſ`` to ``s`` and the Kelvin sign to
+    ``k`` (``recurſive subroutine s`` is a subroutine start).
+    """
+    code = line.lstrip()
+    if not code:
         return LineKind.BLANK
-    if is_directive_line(line):
-        return LineKind.DIRECTIVE
-    if line.lstrip().startswith("!"):
-        return LineKind.COMMENT
+    if code[0] == "!":
+        return LineKind.DIRECTIVE if is_directive_line(line) else LineKind.COMMENT
+    if code.isascii():
+        word = _LEADING_WORD.match(code).group()  # type: ignore[union-attr]
+        if word and word.lower() not in _KEYWORDS:
+            return LineKind.STATEMENT
+    return _classify_code(line)
+
+
+def _classify_code(line: str) -> LineKind:
+    """The regex chain for a non-blank line that is not a comment."""
     if _DO_CONCURRENT.match(line):
         return LineKind.DO_CONCURRENT
     if _DO.match(line):
@@ -100,3 +138,34 @@ def called_name(line: str) -> str | None:
     """Callee of a ``call`` statement line, else None."""
     m = _CALL.match(line)
     return m.group(1) if m else None
+
+
+@dataclass(slots=True)
+class LexMemo:
+    """Per-file lexing facts, valid while the file's lines equal ``lines``."""
+
+    lines: list[str]
+    kinds: tuple[LineKind, ...]
+    #: :func:`repro.fortran.parser.dc_loops`, filled on first use.
+    dc_loops: tuple | None = None
+
+
+def lex(file: SourceFile) -> LexMemo:
+    """The file's lexing memo, recomputed whenever its lines changed.
+
+    One snapshot of the lines backs every memoized fact, so an in-place
+    edit, an append or a replaced list all invalidate the kinds and the
+    ``do concurrent`` index together.
+    """
+    memo = file.lex_memo
+    if memo is not None and memo.lines == file.lines:
+        return memo
+    lines = list(file.lines)
+    memo = LexMemo(lines, tuple(map(classify_line, lines)))
+    file.lex_memo = memo
+    return memo
+
+
+def line_kinds(file: SourceFile) -> tuple[LineKind, ...]:
+    """:class:`LineKind` of every line of ``file``, classified once."""
+    return lex(file).kinds

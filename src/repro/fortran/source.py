@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.fortran.lexer import LexMemo
 
 
 @dataclass(slots=True)
@@ -11,8 +15,9 @@ class SourceFile:
 
     name: str
     lines: list[str] = field(default_factory=list)
-    #: Memo of :func:`repro.fortran.parser.dc_loops`: (lines snapshot, loops).
-    dc_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    #: Memo of :func:`repro.fortran.lexer.lex`: line kinds and the
+    #: ``do concurrent`` index, keyed on one snapshot of ``lines``.
+    lex_memo: LexMemo | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
