@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.analysis.fortran_lint import PortSafety, region_port_safety
+from repro.fortran.lexer import line_kinds
 from repro.fortran.metrics import measure
 from repro.fortran.parser import dc_loops, find_parallel_regions
 from repro.fortran.source import Codebase
@@ -155,14 +156,15 @@ def estimate_cost(
         except ValueError:
             skipped += 1
             continue
+        kinds = line_kinds(f)
         for region in regions:
             try:
-                safety = region_port_safety(f, region)
+                safety = region_port_safety(f, kinds, region)
             except (ValueError, IndexError):
                 skipped += 1
                 continue
             if safety is not PortSafety.UNSAFE and region_call_blockers(
-                f, region, ip
+                f, kinds, region, ip
             ):
                 safety = PortSafety.UNSAFE
                 call_blocked += 1

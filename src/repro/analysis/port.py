@@ -47,6 +47,7 @@ from repro.analysis.fortran_lint import (
 from repro.codes import CodeVersion
 from repro.codes.versions import version_info
 from repro.fortran.codebase import GeneratorBudget, MAS_BUDGET, generate_mas_codebase
+from repro.fortran.lexer import line_kinds
 from repro.fortran.metrics import directive_census, measure
 from repro.fortran.parser import apply_edits, dc_loops, find_parallel_regions
 from repro.fortran.source import Codebase
@@ -145,8 +146,9 @@ def _convert_stage(
     """
     for f in cb.files:
         edits: list[tuple[int, int, list[str]]] = []
+        kinds = line_kinds(f)
         for region in find_parallel_regions(f):
-            safety = region_port_safety(f, region)
+            safety = region_port_safety(f, kinds, region)
             if safety is PortSafety.UNSAFE:
                 result.refused.append(RefusedRegion(
                     file=f.name, line=region.start + 1,
@@ -362,9 +364,10 @@ def port_file(
     """
     snapshot = list(file.lines)
     safeties = _target_safeties(target)
+    kinds = line_kinds(file)
     try:
         regions = find_parallel_regions(file)
-        verdicts = [(r, region_port_safety(file, r)) for r in regions]
+        verdicts = [(r, region_port_safety(file, kinds, r)) for r in regions]
     except (ValueError, IndexError) as exc:
         return FilePortStatus(file.name, "refused", reason=f"parse: {exc}")
     if target is not PortTarget.ACC_OPT:
@@ -379,7 +382,7 @@ def port_file(
             from repro.analysis.interproc import region_call_blockers
 
             for region, _safety in verdicts:
-                blockers = region_call_blockers(file, region, interproc)
+                blockers = region_call_blockers(file, kinds, region, interproc)
                 if not blockers:
                     continue
                 b = blockers[0]
@@ -403,7 +406,7 @@ def port_file(
         for region, safety in verdicts:
             if safety is not PortSafety.NEEDS_ATOMIC:
                 continue
-            undeclared = region_undeclared_reductions(file, region)
+            undeclared = region_undeclared_reductions(file, kinds, region)
             if undeclared:
                 return FilePortStatus(
                     file.name, "refused",
@@ -421,7 +424,7 @@ def port_file(
             if interproc is not None and target is PortTarget.ACC_OPT:
                 from repro.analysis.interproc import region_call_blockers
 
-                if region_call_blockers(file, region, interproc):
+                if region_call_blockers(file, kinds, region, interproc):
                     kept += 1  # blocked call: the region stays OpenACC
                     continue
             if safety is PortSafety.SAFE_F2018:

@@ -90,12 +90,14 @@ class TestPortedVersionsLintClean:
 class TestTransformAgreement:
     def test_analyzer_verdict_matches_region_taxonomy(self, code1):
         """Port/don't-port decisions: analyzer vs the SIV taxonomy."""
+        from repro.fortran.lexer import line_kinds
         from repro.fortran.parser import find_parallel_regions
 
         checked = 0
         for file in code1.files:
+            kinds = line_kinds(file)
             for region in find_parallel_regions(file):
-                verdict = region_port_safety(file, region)
+                verdict = region_port_safety(file, kinds, region)
                 assert verdict is EXPECTED_SAFETY[region.kind], (
                     f"{file.name}:{region.start} is {region.kind.value} but "
                     f"the analyzer says {verdict.value}"

@@ -326,13 +326,16 @@ class TestCostPricing:
         assert "interprocedural: " in report.render()
 
     def test_region_call_blockers_api(self):
+        from repro.fortran.lexer import line_kinds
         from repro.fortran.parser import find_parallel_regions
 
         res = _load()
         out = summarize(res.codebase)
         file = res.codebase.file("src/ip102_module_write.f90")
         (region,) = find_parallel_regions(file)
-        (blocker,) = region_call_blockers(file, region, out)
+        (blocker,) = region_call_blockers(
+            file, line_kinds(file), region, out
+        )
         assert blocker.rule == "IP102"
         assert blocker.callee == "bump_accum"
         assert not blocker.fixable

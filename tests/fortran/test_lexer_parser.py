@@ -21,6 +21,10 @@ from repro.fortran.directives import DirectiveKind
 from repro.fortran.source import Codebase, SourceFile
 
 
+def kinds_of(lines):
+    return tuple(map(classify_line, lines))
+
+
 class TestLexer:
     @pytest.mark.parametrize(
         "line,kind",
@@ -69,7 +73,7 @@ PLAIN_REGION = [
 
 class TestLoopNest:
     def test_parse_depth_and_bounds(self):
-        nest = parse_loop_nest(PLAIN_REGION, 2)
+        nest = parse_loop_nest(PLAIN_REGION, kinds_of(PLAIN_REGION), 2)
         assert nest.depth == 3
         assert nest.index_vars == ["k", "j", "i"]
         assert nest.bounds == ["1,n3", "1,n2", "1,n1"]
@@ -77,11 +81,13 @@ class TestLoopNest:
         assert nest.body_range == (5, 5)
 
     def test_not_a_loop(self):
-        assert parse_loop_nest(["      x = 1"], 0) is None
+        lines = ["      x = 1"]
+        assert parse_loop_nest(lines, kinds_of(lines), 0) is None
 
     def test_unterminated(self):
         with pytest.raises(ValueError, match="unterminated"):
-            parse_loop_nest(["      do i=1,n", "        x = 1"], 0)
+            lines = ["      do i=1,n", "        x = 1"]
+            parse_loop_nest(lines, kinds_of(lines), 0)
 
 
 MIXED_NEST = [
@@ -100,7 +106,7 @@ MIXED_NEST = [
 class TestMatchEnddo:
     @pytest.mark.parametrize("start,end", [(0, 8), (1, 7), (2, 6), (3, 5)])
     def test_every_loop_form_nests(self, start, end):
-        assert match_enddo(MIXED_NEST, start) == end
+        assert match_enddo(kinds_of(MIXED_NEST), start) == end
 
     def test_labeled_do_is_invisible(self):
         lines = [
@@ -111,12 +117,12 @@ class TestMatchEnddo:
             "enddo",
         ]
         assert classify_line(lines[1]) is LineKind.STATEMENT
-        assert match_enddo(lines, 0) == 4
+        assert match_enddo(kinds_of(lines), 0) == 4
 
     def test_unterminated_is_none(self):
-        assert match_enddo(["do i=1,n", "  x = 1"], 0) is None
-        assert match_enddo(MIXED_NEST[:-1], 0) is None
-        assert match_enddo(MIXED_NEST[:-1], 1) == 7
+        assert match_enddo(kinds_of(["do i=1,n", "  x = 1"]), 0) is None
+        assert match_enddo(kinds_of(MIXED_NEST[:-1]), 0) is None
+        assert match_enddo(kinds_of(MIXED_NEST[:-1]), 1) == 7
 
 
 class TestDcLoops:

@@ -11,7 +11,12 @@ from repro.fortran.transforms import (
     UnifiedMemPass,
 )
 from repro.fortran.transforms.base import dc_header
+from repro.fortran.lexer import classify_line
 from repro.fortran.parser import parse_loop_nest
+
+
+def kinds_of(lines):
+    return tuple(map(classify_line, lines))
 
 
 def cb_of(lines):
@@ -57,11 +62,11 @@ ARRAY_RED = [
 
 class TestDcHeader:
     def test_listing2_shape(self):
-        nest = parse_loop_nest(PLAIN, 2)
+        nest = parse_loop_nest(PLAIN, kinds_of(PLAIN), 2)
         assert dc_header(nest) == "      do concurrent (k=1:n3,j=1:n2,i=1:n1)"
 
     def test_clause_appended(self):
-        nest = parse_loop_nest(SCALAR_RED, 2)
+        nest = parse_loop_nest(SCALAR_RED, kinds_of(SCALAR_RED), 2)
         assert dc_header(nest, clause="reduce(+:s)").endswith("reduce(+:s)")
 
 
